@@ -32,6 +32,7 @@ from .gauge import (
     H_of,
     M_INFINITY,
     V_of,
+    certify,
     check_H_structure,
     ode_residual_generic,
 )

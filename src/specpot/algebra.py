@@ -96,11 +96,6 @@ class ESeries:
         return ESeries(n, tuple(
             sp.cancel(self.coeffs[j] + other.coeffs[j]) for j in range(n)))
 
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return ESeries(n, tuple(
-            sp.cancel(self.coeffs[j] - other.coeffs[j]) for j in range(n)))
-
     def __mul__(self, other):
         n = min(self.order, other.order)
         return ESeries(n, tuple(
@@ -116,11 +111,6 @@ class ESeries:
             inv.append(sp.cancel(-inv[0] * sum(
                 self.coeffs[i] * inv[j - i] for i in range(1, j + 1))))
         return ESeries(self.order, tuple(inv))
-
-    def diff(self):
-        """Coefficient-wise d/dz."""
-        return ESeries(self.order,
-                       tuple(sp.diff(cc, z) for cc in self.coeffs))
 
     def equal(self, other):
         n = min(self.order, other.order)

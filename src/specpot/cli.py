@@ -22,11 +22,11 @@ import sys
 import sympy as sp
 
 from . import families, gauge, spectrum as spectrum_mod
-from .algebra import SYMBOLS, nu, z
+from .algebra import normalize, nu, rat_equal, z
 from .document import PotentialDocument
 from .errors import SpecpotError, UnboundParameter
 from .expressions import parse_expr, print_expr
-from .families import LogPolyPair, PotentialResult
+from .families import LogPolyPair
 from .gauge import CASES, M_INFINITY
 from .seeds import NodeSpec1, NodeSpec2
 
@@ -100,25 +100,27 @@ def _cmd_gen(args):
     return 0
 
 
+def _canonical_roots(w_roots):
+    return sorted((str(normalize(root)), mult) for root, mult in w_roots)
+
+
 def _cmd_verify(args):
     doc = PotentialDocument.load(args.infile)
     res = doc.result
-    case = CASES[res.case_tag]
-    if res.M is not M_INFINITY:
-        H = gauge.H_of(case, res.M, res.nu)
-        gauge.check_H_structure(H, res.M)
-    witness = gauge.ode_residual_generic(case, res.M, res.V, res.nu) \
-        if res.M is not M_INFINITY else None
-    if res.M is M_INFINITY:
-        recomputed = gauge.V_of(case, M_INFINITY, res.nu)
-        if sp.cancel(sp.together(recomputed - res.V)) != 0:
-            raise SpecpotError("stored V disagrees with its gauge")
-    if witness is not None:
-        raise SpecpotError("nonzero Schroedinger residual: %s" %
-                           print_expr(witness))
+    H, structure, V = gauge.certify(CASES[res.case_tag], res.M, res.nu)
+    if not rat_equal(V, res.V):
+        raise SpecpotError("stored V disagrees with its gauge")
+    H_matches = (H is None) == (res.H is None) and (
+        H is None or rat_equal(H, res.H))
+    if not H_matches:
+        raise SpecpotError("stored H disagrees with its gauge")
+    w_roots = () if structure is None else structure.w_roots
+    if _canonical_roots(w_roots) != _canonical_roots(res.w_roots):
+        raise SpecpotError("stored w_roots disagree with H")
     for pair in doc.eigenpairs:
         spectrum_mod._assert_residual_zero(res.V, pair.E0, pair)
-    print("ok: residual identically zero, structure condition holds")
+    print("ok: residual identically zero, structure condition holds, "
+          "stored V, H and w_roots match the gauge")
     return 0
 
 

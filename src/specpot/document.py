@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import sympy as sp
 
 from .algebra import E, normalize, rat_equal, z
 from .errors import SpecpotError
 from .expressions import parse_expr, print_expr
-from .families import LogPolyPair, PotentialResult, t
-from .gauge import M_INFINITY
+from .families import LogPolyPair, PotentialResult
+from .gauge import CASES, M_INFINITY
 from .seeds import NodeSpec1, NodeSpec2
-from .spectrum import EigenPair, INTERVALS
+from .spectrum import EigenPair, INTERVALS, _closed_form
 
 SCHEMA_VERSION = 1
 
@@ -140,9 +140,20 @@ class PotentialDocument:
 
     @staticmethod
     def from_dict(doc) -> "PotentialDocument":
+        """Decode a document; a malformed one raises :class:`SpecpotError`."""
+        try:
+            return PotentialDocument._decode(doc)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise SpecpotError("malformed document: %s %s" %
+                               (type(exc).__name__, exc)) from exc
+
+    @staticmethod
+    def _decode(doc) -> "PotentialDocument":
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise SpecpotError("unsupported schema version %r" %
                                doc.get("schema_version"))
+        if doc["case"] not in CASES:
+            raise SpecpotError("unknown case %r" % doc["case"])
         family = doc["family"]
         M = (M_INFINITY if doc["M"].get("infinite")
              else decode_ratfun(doc["M"]))
@@ -159,9 +170,7 @@ class PotentialDocument:
         )
         eigenpairs = []
         for entry in doc["eigenpairs"]:
-            psi = parse_expr(entry["psi"])
-            from .spectrum import _closed_form
-            q, R = _closed_form(psi)
+            q, R = _closed_form(parse_expr(entry["psi"]))
             num, den = sp.fraction(sp.cancel(sp.together(R)))
             eigenpairs.append(EigenPair(
                 E0=sp.Rational(parse_expr(entry["E0"])),

@@ -105,6 +105,10 @@ class DegreeCapExceeded(SpecpotError):
     pass
 
 
+class NonzeroResidual(SpecpotError):
+    """A closed-form eigenfunction does not solve psi'' + (V + E0) psi = 0."""
+
+
 # --- cli ---------------------------------------------------------------------
 
 class ExprSyntaxError(SpecpotError):

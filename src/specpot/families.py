@@ -1,14 +1,14 @@
 """The generators: node-interpolated discrete families, the two series-built
 continuous families, the Airy potential and the M = infinity conventions.
 
-Every generator returns a fully verified :class:`PotentialResult`: the
-Schroedinger residual is checked to vanish identically and the structure
-condition on H is enforced before anything is handed back.
+Every generator returns a fully verified :class:`PotentialResult`: its gauge
+passes :func:`gauge.certify` (structure condition on H, identically zero
+Schroedinger residual) before anything is handed back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import sympy as sp
@@ -85,41 +85,31 @@ def D_poly(f):
 
 
 def _verified_result(family, case_tag, nu_val, M, provenance):
-    case = CASES[case_tag]
-    H = gauge.H_of(case, M, nu_val)
-    structure = gauge.check_H_structure(H, M)
-    V = gauge.V_of(case, M, nu_val)
-    witness = gauge.ode_residual_generic(case, M, V, nu_val)
-    if witness is not None:
-        raise InconsistentRatio("nonzero Schroedinger residual: %s" % witness)
+    H, structure, V = gauge.certify(CASES[case_tag], M, nu_val)
+    w_roots = () if structure is None else structure.w_roots
     return PotentialResult(family=family, nu=sp.sympify(nu_val), M=M, H=H,
-                           w_roots=structure.w_roots, V=V,
-                           provenance=provenance, case_tag=case_tag,
-                           structure=structure)
+                           w_roots=w_roots, V=V, provenance=provenance,
+                           case_tag=case_tag, structure=structure)
+
+
+def _gen_nodes(family, case_tag, seed, nodes, nu_val):
+    """Interpolate the node seeds in E and certify; no nodes: M = infinity."""
+    if not nodes:
+        return replace(singular_potential(CASES[case_tag], nu_val),
+                       family=family, provenance=[])
+    data = [seed(nd, nu_val) for nd in nodes]
+    M = rat_interpolate([InterpNode(E0, Mv) for (E0, Mv, _) in data])
+    return _verified_result(family, case_tag, nu_val, M, list(nodes))
 
 
 def gen_family1(nodes: Sequence[NodeSpec1], nu_val=nu) -> PotentialResult:
     """First family: energies eps1*(4k+2) + 4*eps2*nu, pullback z^2."""
-    if not nodes:
-        res = singular_potential(CASES["C1"], nu_val)
-        return PotentialResult(family="1", nu=res.nu, M=res.M, H=None,
-                               w_roots=(), V=res.V, provenance=[],
-                               case_tag="C1")
-    data = [seed_case1(nd, nu_val) for nd in nodes]
-    M = rat_interpolate([InterpNode(E0, Mv) for (E0, Mv, _) in data])
-    return _verified_result("1", "C1", nu_val, M, list(nodes))
+    return _gen_nodes("1", "C1", seed_case1, nodes, nu_val)
 
 
 def gen_family2(nodes: Sequence[NodeSpec2], nu_val=nu) -> PotentialResult:
     """Second family: energies -1/(2*eps*nu + 2k + 1)^2, pullback 2*sqrt(-E)*z."""
-    if not nodes:
-        res = singular_potential(CASES["C2"], nu_val)
-        return PotentialResult(family="2", nu=res.nu, M=res.M, H=None,
-                               w_roots=(), V=res.V, provenance=[],
-                               case_tag="C2")
-    data = [seed_case2(nd, nu_val) for nd in nodes]
-    M = rat_interpolate([InterpNode(E0, Mv) for (E0, Mv, _) in data])
-    return _verified_result("2", "C2", nu_val, M, list(nodes))
+    return _gen_nodes("2", "C2", seed_case2, nodes, nu_val)
 
 
 def gen_family3_log(pair: LogPolyPair) -> PotentialResult:
@@ -163,20 +153,16 @@ def gen_family3_poly(F) -> PotentialResult:
 
 def gen_family4() -> PotentialResult:
     """The Airy potential V = z (the only case-4 member, M = infinity)."""
-    res = singular_potential(CASES["C4"], sp.Rational(1, 3))
-    return PotentialResult(family="4", nu=res.nu, M=M_INFINITY, H=None,
-                           w_roots=(), V=res.V, provenance="airy",
-                           case_tag="C4")
+    return replace(singular_potential(CASES["C4"]), family="4",
+                   provenance="airy")
 
 
 def singular_potential(case: GaugeCase, nu_val=nu) -> PotentialResult:
     """The M = infinity potential of a case: psi = prefactor * W directly."""
     if case.tag == "C4":
         nu_val = sp.Rational(1, 3)
-    V = gauge.V_of(case, M_INFINITY, nu_val)
-    return PotentialResult(family="singular", nu=sp.sympify(nu_val),
-                           M=M_INFINITY, H=None, w_roots=(), V=V,
-                           provenance=case.tag, case_tag=case.tag)
+    return _verified_result("singular", case.tag, nu_val, M_INFINITY,
+                            case.tag)
 
 
 def result_at_nu(result: PotentialResult, nu0) -> PotentialResult:
@@ -184,8 +170,9 @@ def result_at_nu(result: PotentialResult, nu0) -> PotentialResult:
 
     This is the confluent-node route: coincident energies are produced as a
     limit of the symbolic-nu interpolant, cancelling before substituting.
-    The specialized result is re-verified from scratch (structure condition,
-    residual) so fused w-roots get their correct multiplicities.
+    The specialized gauge is re-certified from scratch by
+    :func:`gauge.certify` (structure condition, residual) so fused w-roots
+    get their correct multiplicities.
     """
     nu0 = sp.Rational(nu0)
     if result.M is M_INFINITY:

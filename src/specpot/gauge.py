@@ -36,7 +36,6 @@ from .errors import (
     InconsistentRatio,
     MixedFactor,
     UnsolvableSystem,
-    ZeroDenominator,
 )
 
 
@@ -55,28 +54,13 @@ class GaugeCase:
     """One of the four eigenfunction shapes.
 
     ``pullback`` and ``mu`` are kept for documentation/rendering; the actual
-    reduction uses the rationalized ``S``/``rf``/``rr`` data built in
-    :func:`_case_data`.
+    reduction (H included) uses the rationalized ``S``/``rf``/``rr`` data
+    built in :func:`_case_data`.
     """
 
     tag: str
     pullback: sp.Expr
     mu: sp.Expr
-
-    def H_formula(self, M, nu_val):
-        Mp = sp.diff(M, z)
-        if self.tag == "C1":
-            return (M ** 2 * z ** 2 + M * z - Mp * z ** 2 - z ** 4
-                    + z ** 2 * E - 4 * nu_val ** 2 + 1)
-        if self.tag == "C2":
-            return (4 * M ** 2 * z ** 2 + 4 * z ** 2 * E - 4 * Mp * z ** 2
-                    - 4 * nu_val ** 2 + 4 * z + 1)
-        if self.tag == "C3":
-            return (4 * M ** 2 * z ** 2 + 4 * z ** 2 * E - 4 * Mp * z ** 2
-                    - 4 * nu_val ** 2 + 1)
-        if self.tag == "C4":
-            return M ** 2 + E - Mp + z
-        raise ValueError(self.tag)
 
 
 _GAMMA = sp.sqrt(-E)
@@ -94,7 +78,8 @@ def H_of(case: GaugeCase, M, nu_val=nu):
     """The under-root denominator function of the eigenfunction formula."""
     if M is M_INFINITY:
         raise ValueError("H is bypassed on the M = infinity path")
-    return normalize(case.H_formula(sp.sympify(M), sp.sympify(nu_val)))
+    _, _, data = _reduction(case, M, nu_val)
+    return normalize(data[0].as_expr())
 
 
 @dataclass(frozen=True)
@@ -241,30 +226,50 @@ def _second_derivative_coords(v, S, rf, rr, L, zf):
     return N1, N2
 
 
-def V_of(case: GaugeCase, M, nu_val=nu):
-    """Reconstruct the potential from a gauge (or from M = infinity).
-
-    Computes -psi''/psi coordinate-wise; the W- and W'-coordinates of psi''
-    must be proportional to those of psi (checked), and the resulting
-    V = -psi''/psi - E must be free of E after cancellation.  That
-    E-freeness is the integrability certificate; failure raises
-    :class:`EDependentPotential` with the offending expression as witness.
-    """
+def _reduction(case, M, nu_val):
+    """The field of (M, nu) and the module data of the case in it."""
     nu_val = sp.sympify(nu_val)
     ring, gens = _field_for([M, nu_val])
-    zf, Ef = gens["z"], gens["E"]
-    H, v, S, rf, rr, L = _case_data(case, M, nu_val, ring, gens)
-    N1, N2 = _second_derivative_coords(v, S, rf, rr, L, zf)
-    if N1 * v[1] - N2 * v[0] != ring.zero:
-        raise InconsistentRatio(
-            "psi'' not proportional to psi: %s" %
-            (N1 * v[1] - N2 * v[0]).as_expr())
+    return ring, gens, _case_data(case, M, nu_val, ring, gens)
+
+
+def _potential(ring, gens, data):
+    """V from the module data, certified as described in :func:`V_of`."""
+    _, v, S, rf, rr, L = data
+    N1, N2 = _second_derivative_coords(v, S, rf, rr, L, gens["z"])
     VpE = -N1 / v[0] if v[0] != ring.zero else -N2 / v[1]
-    V = VpE - Ef
+    for r in (N1 + VpE * v[0], N2 + VpE * v[1]):
+        if r != ring.zero:
+            raise InconsistentRatio(
+                "nonzero Schroedinger residual: %s" % normalize(r.as_expr()))
+    V = VpE - gens["E"]
     # generator order is (z, E, params...): index 1 is the E-degree
     if V.numer.degree(1) > 0 or V.denom.degree(1) > 0:
         raise EDependentPotential(normalize(V.as_expr()))
     return normalize(V.as_expr())
+
+
+def V_of(case: GaugeCase, M, nu_val=nu):
+    """Reconstruct the potential from a gauge (or from M = infinity).
+
+    V + E = -psi''/psi is read off psi's first nonzero coordinate.  The
+    certificate: psi'' + (V + E) psi vanishes in both coordinates (else
+    :class:`InconsistentRatio`) and V is free of E after cancellation (else
+    :class:`EDependentPotential`, with V as witness).
+    """
+    return _potential(*_reduction(case, M, nu_val))
+
+
+def certify(case: GaugeCase, M, nu_val=nu):
+    """``(H, structure, V)`` of a gauge from one reduction: H is the field
+    element of :func:`_case_data`, checked by :func:`check_H_structure`; V is
+    certified as in :func:`V_of`.  At M = infinity H and structure are None.
+    """
+    ring, gens, data = _reduction(case, M, nu_val)
+    if M is M_INFINITY:
+        return None, None, _potential(ring, gens, data)
+    H = normalize(data[0].as_expr())
+    return H, check_H_structure(H, M), _potential(ring, gens, data)
 
 
 def ode_residual_generic(case: GaugeCase, M, V, nu_val=nu) -> Optional[sp.Expr]:

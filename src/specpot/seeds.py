@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .algebra import normalize, nu, rat_equal, z
+from .algebra import normalize, nu, z
 from .errors import NON_ELEMENTARY, SingularParameter
 
 

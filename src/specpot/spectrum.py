@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 import sympy as sp
 
 from .algebra import normalize, z
-from .errors import DegreeCapExceeded, NoSolution, SymbolicNu
+from .errors import DegreeCapExceeded, NonzeroResidual, NoSolution, SymbolicNu
 from .families import PotentialResult
 
 INTERVALS = ("R", "R+", "R-")
@@ -154,7 +154,7 @@ def _assert_residual_zero(V, E0, pair: EigenPair):
         sp.diff(g, z, 2) + 2 * qp * sp.diff(g, z)
         + (sp.diff(qp, z) + qp ** 2 + V + E0) * g))
     if residual != 0:
-        raise AssertionError("eigenfunction residual nonzero: %s" % residual)
+        raise NonzeroResidual("eigenfunction residual nonzero: %s" % residual)
 
 
 def _decays_toward(q, plus_infinity: bool):

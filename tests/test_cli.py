@@ -7,7 +7,8 @@ from sympy import Rational as Q
 
 from specpot.algebra import b, rat_equal, z
 from specpot.cli import main
-from specpot.document import PotentialDocument
+from specpot.document import PotentialDocument, encode_ratfun
+from specpot.expressions import parse_expr
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -81,6 +82,69 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     payload["V"] = document.encode_ratfun(parse_expr(tampered))
     path.write_text(json.dumps(payload))
     assert main(["verify", "--in", str(path)]) == 1
+
+
+def _anharmonic_with_ground_state(path):
+    """The anharmonic document with its ground state exp(-z^2/2)/(2z^2+1)
+    at E0 = -1 stored as an eigenpair."""
+    _gen_anharmonic(path)
+    payload = json.loads(path.read_text())
+    payload["eigenpairs"] = [{"E0": "-1", "psi": "exp(-z^2/2)/(2*z^2 + 1)",
+                              "l2": {"R": True, "R+": True, "R-": True}}]
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(path)]) == 0
+    return payload
+
+
+def _tamper_V(payload):
+    payload["V"] = encode_ratfun(2 * parse_expr(payload["V"]["expr"]))
+
+
+def _tamper_H(payload):
+    payload["H"] = encode_ratfun(z ** 2)
+
+
+def _tamper_w_roots(payload):
+    payload["w_roots"] = [["7", 5]]
+
+
+def _tamper_psi(payload):
+    payload["eigenpairs"][0]["psi"] = "z*exp(-z^2/2)/(2*z^2 + 1)"
+
+
+@pytest.mark.parametrize("tamper", [_tamper_V, _tamper_H, _tamper_w_roots,
+                                    _tamper_psi],
+                         ids=["V", "H", "w_roots", "psi"])
+def test_verify_rejects_tampered_field(tmp_path, capsys, tamper):
+    path = tmp_path / "anh.json"
+    payload = _anharmonic_with_ground_state(path)
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _drop_V(payload):
+    del payload["V"]
+
+
+def _unknown_case(payload):
+    payload["case"] = "C9"
+
+
+@pytest.mark.parametrize("spoil", [_drop_V, _unknown_case],
+                         ids=["missing-V", "unknown-case"])
+def test_malformed_document_exit_code(tmp_path, capsys, spoil):
+    path = tmp_path / "anh.json"
+    _gen_anharmonic(path)
+    payload = json.loads(path.read_text())
+    spoil(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for argv in (["verify"], ["render", "--format", "json"]):
+        assert main(argv + ["--in", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_render_json_identity(tmp_path, capsys):

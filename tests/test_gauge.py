@@ -23,10 +23,50 @@ def test_case_table():
     assert CASES["C4"].mu == 0
 
 
-def test_H_formula_case1_single_node():
+#: H(M) as written in the paper, one formula per case.  The library derives
+#: H from its module reduction, so these are an independent oracle.
+PAPER_H = {
+    "C1": lambda M, Mp, n: (M ** 2 * z ** 2 + M * z - Mp * z ** 2 - z ** 4
+                            + z ** 2 * E - 4 * n ** 2 + 1),
+    "C2": lambda M, Mp, n: (4 * M ** 2 * z ** 2 + 4 * z ** 2 * E
+                            - 4 * Mp * z ** 2 - 4 * n ** 2 + 4 * z + 1),
+    "C3": lambda M, Mp, n: (4 * M ** 2 * z ** 2 + 4 * z ** 2 * E
+                            - 4 * Mp * z ** 2 - 4 * n ** 2 + 1),
+    "C4": lambda M, Mp, n: M ** 2 + E - Mp + z,
+}
+
+
+@pytest.mark.parametrize("tag,M,nu_val,closed", [
+    # family 1, node (0,+,+)
+    ("C1", (-2 * nu + z ** 2 - 1) / z, nu, z ** 2 * (E - 4 * nu - 2)),
+    # family 2, node (0,+)
+    ("C2", (-4 * nu ** 2 - 4 * nu + 2 * z - 1) / ((4 * nu + 2) * z), nu,
+     4 * z ** 2 * ((2 * nu + 1) ** 2 * E + 1) / (2 * nu + 1) ** 2),
+    # 3poly with F = z^2 + 1
+    ("C3", E * z, Q(1, 2), 4 * E ** 2 * z ** 4),
+    # case 4 has no finite gauge in any family: an arbitrary one
+    ("C4", (z + E) / (z ** 2 - nu), nu, None),
+], ids=["C1", "C2", "C3", "C4"])
+def test_H_formula(tag, M, nu_val, closed):
+    H = H_of(CASES[tag], M, nu_val)
+    assert rat_equal(H, PAPER_H[tag](M, sp.diff(M, z), nu_val))
+    if closed is not None:
+        assert rat_equal(H, closed)
+
+
+def test_certify_agrees_with_its_parts(monkeypatch):
     M = (-2 * nu + z ** 2 - 1) / z
-    H = H_of(CASES["C1"], M)
-    assert rat_equal(H, z ** 2 * (E - 4 * nu - 2))
+    case = CASES["C1"]
+    calls = []
+    reduce = gauge._case_data
+    monkeypatch.setattr(gauge, "_case_data",
+                        lambda *args: calls.append(1) or reduce(*args))
+    H, structure, V = gauge.certify(case, M, nu)
+    assert len(calls) == 1          # one reduction per certification
+    assert H == H_of(case, M, nu)
+    assert structure == check_H_structure(H, M)
+    assert V == V_of(case, M, nu)
+    assert gauge.ode_residual_generic(case, M, V, nu) is None
 
 
 def test_H_bypassed_at_infinity():
@@ -70,6 +110,8 @@ def test_structure_irreducible_quadratic():
 ])
 def test_infinite_gauge_potentials(tag, want):
     assert rat_equal(V_of(CASES[tag], M_INFINITY, nu), want)
+    H, structure, V = gauge.certify(CASES[tag], M_INFINITY, nu)
+    assert H is None and structure is None and rat_equal(V, want)
 
 
 def test_single_node_potential_and_residual():
