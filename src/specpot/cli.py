@@ -125,6 +125,8 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
+    if args.kmax < 0:
+        raise UsageError("--kmax must be nonnegative")
     doc = PotentialDocument.load(args.infile)
     pairs = spectrum_mod.spectrum_table(doc.result, args.kmax,
                                         interval=args.interval)

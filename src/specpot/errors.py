@@ -98,7 +98,14 @@ class SymbolicNu(SpecpotError):
 
 
 class NoSolution(SpecpotError):
-    """No closed-form eigenfunction exists at this candidate energy."""
+    """No eigenfunction at this candidate energy; ``reason`` says why."""
+
+    NO_CLOSED_FORM = "no closed form"
+    NOT_L2 = "closed form not L2 on any interval"
+
+    def __init__(self, E0, reason):
+        super().__init__("no eigenfunction at E = %s: %s" % (E0, reason))
+        self.reason = reason
 
 
 class DegreeCapExceeded(SpecpotError):

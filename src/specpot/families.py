@@ -176,7 +176,8 @@ def result_at_nu(result: PotentialResult, nu0) -> PotentialResult:
     """
     nu0 = sp.Rational(nu0)
     if result.M is M_INFINITY:
-        return singular_potential(CASES[result.case_tag], nu0)
+        return replace(singular_potential(CASES[result.case_tag], nu0),
+                       family=result.family, provenance=result.provenance)
     M = eval_nu(result.M, nu0)
     specialized = _verified_result(result.family, result.case_tag, nu0, M,
                                    result.provenance)

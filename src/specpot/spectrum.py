@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from .algebra import normalize, z
+from .algebra import E as Esym, normalize, z
 from .errors import DegreeCapExceeded, NonzeroResidual, NoSolution, SymbolicNu
 from .families import PotentialResult
 
@@ -67,7 +68,6 @@ def enumerate_candidates(result: PotentialResult, bound: int) -> CandidateSet:
     degenerate = []
     if result.H is not None:
         for E0 in found:
-            from .algebra import E as Esym
             if sp.cancel(sp.together(result.H.subs(Esym, E0))) == 0:
                 degenerate.append(E0)
     energies = tuple(sorted(
@@ -83,66 +83,69 @@ def _carrier_candidates(result: PotentialResult, E0):
     return [-m * z, m * z]
 
 
-def _pole_denominator(V):
-    """Product of the distinct irreducible z-factors of V's denominator."""
-    den = sp.fraction(normalize(V))[1]
-    _, factors = sp.factor_list(den, z)
-    out = sp.Integer(1)
-    for fac, _mult in factors:
-        out *= fac
-    return sp.expand(out)
-
-
 def liouvillian_eigenfunction(result: PotentialResult, E0,
                               degree_cap: int = 16) -> EigenPair:
     """Exact closed-form eigenfunction at a candidate energy.
 
     Ansatz psi = exp(q) N(z)/den(z) with q from the family's asymptotic
-    data and den the squarefree pole polynomial of V; N is found by solving
-    the linear system given by the vanishing of the ODE residual's
-    numerator, sweeping deg N upward.  Solutions that decay toward no
-    infinity at all (square-integrable on none of R, R+, R-) are spurious
-    and rejected; exhausting the cap raises :class:`NoSolution`.
+    data and den the squarefree pole polynomial of V; per carrier the
+    behaviour at infinity fixes deg N and one nullspace gives N.  Solutions
+    that decay toward no infinity (square-integrable on none of R, R+, R-)
+    are spurious and rejected; :class:`NoSolution` gives the reason.
     """
     if degree_cap < 0:
         raise DegreeCapExceeded(str(degree_cap))
     E0 = sp.Rational(E0)
     V = result.V
-    den = _pole_denominator(V)
+    Vn, Vd = sp.fraction(normalize(V))
+    den = sp.sqf_part(Vd, z)  # the distinct irreducible factors of V's poles
+    reason = NoSolution.NO_CLOSED_FORM
     for q in _carrier_candidates(result, E0):
-        qp = sp.diff(q, z)
-        pair = _solve_numerator(V, E0, q, qp, den, degree_cap)
-        if pair is None:
+        num = _solve_numerator(Vn, Vd, E0, sp.diff(q, z), den, degree_cap)
+        if num is None:
             continue
-        num = pair
         candidate = EigenPair(E0=E0, carrier=q, num=num, den=den)
         flags = {iv: square_integrable(candidate, iv) for iv in INTERVALS}
         if not any(flags.values()):
+            reason = NoSolution.NOT_L2
             continue
         verified = EigenPair(E0=E0, carrier=q, num=num, den=den, l2=flags)
         _assert_residual_zero(V, E0, verified)
         return verified
-    raise NoSolution("no closed-form eigenfunction at E = %s" % E0)
+    raise NoSolution(E0, reason)
 
 
-def _solve_numerator(V, E0, q, qp, den, degree_cap):
-    for deg in range(degree_cap + 1):
-        unknowns = sp.symbols("n0:%d" % (deg + 1))
-        N = sum(unknowns[i] * z ** i for i in range(deg + 1))
-        g = N / den
-        residual = (sp.diff(g, z, 2) + 2 * qp * sp.diff(g, z)
-                    + (sp.diff(qp, z) + qp ** 2 + V + E0) * g)
-        numerator = sp.expand(sp.numer(sp.together(residual)))
-        eqs = sp.Poly(numerator, z).coeffs()
-        sol = sp.linsolve(eqs, unknowns)
-        for s in sol:
-            N_val = sum(s[i] * z ** i for i in range(deg + 1))
-            free = N_val.free_symbols & set(unknowns)
-            if free:
-                N_val = N_val.subs({f: 1 for f in free})
-            N_val = sp.expand(N_val)
-            if N_val != 0:
-                return N_val
+def _solve_numerator(Vn, Vd, E0, qp, den, degree_cap):
+    """The monic N of least degree <= degree_cap for which exp(q)*N/den
+    solves the ODE with V = Vn/Vd, or None.
+
+    Times den^3*Vd the residual is L(N) = a0*N + a1*N' + a2*N''.  As
+    L(z^n) = p(n)*z^(n+shift) + lower terms, deg N is a root of the
+    indicial polynomial p, and at the least root with a solution the
+    nullspace of L on z^0, ..., z^deg N is one-dimensional.
+    """
+    (Vn, Vd, D, Q), _ = sp.parallel_poly_from_expr(
+        (Vn, Vd, den, qp), z, field=True)
+    D1 = D.diff(z)
+    a0 = Vd * (2 * D1 ** 2 - D * D1.diff(z) - 2 * Q * D * D1
+               + (Q.diff(z) + Q ** 2 + E0) * D ** 2) + Vn * D ** 2
+    a1 = 2 * Vd * D * (Q * D - D1)
+    a2 = Vd * D ** 2
+    shift = max(a0.degree(), a1.degree() - 1, a2.degree() - 2)
+    n = sp.Dummy("n")
+    indicial = (a0.nth(shift) + a1.nth(shift + 1) * n
+                + a2.nth(shift + 2) * n * (n - 1))
+    for deg in sorted(r for r in sp.roots(indicial, n)
+                      if r.is_Integer and 0 <= r <= degree_cap):
+        columns = [a0 * m + a1 * m.diff(z) + a2 * m.diff((z, 2))
+                   for m in (sp.Poly(z ** i, z) for i in range(deg + 1))]
+        rows = [[col.nth(j) for col in columns] for j in range(deg + shift + 1)]
+        # sparse: the dense nullspace fails on a zero matrix
+        basis = DomainMatrix.from_list_sympy(len(rows), deg + 1, rows) \
+            .to_field().to_sparse().nullspace().to_Matrix()
+        if basis.rows:
+            return sp.expand(sum(c * z ** i for i, c in
+                                 enumerate(basis.row(0) / basis[0, deg])))
     return None
 
 

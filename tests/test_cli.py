@@ -60,6 +60,37 @@ def test_spectrum_command(tmp_path, capsys):
     assert {p.E0 for p in doc.eigenpairs} >= {-1, 5, 7, 9, 11, 13}
 
 
+def test_spectrum_nodeless_family1(tmp_path, capsys):
+    # no nodes: M = infinity, V = -z^2, the harmonic oscillator; the
+    # document must stay a family-1 document that spectrum accepts
+    path = tmp_path / "osc.json"
+    assert main(["gen", "--family", "1", "--nu", "1/4",
+                 "--out", str(path)]) == 0
+    doc = PotentialDocument.load(path)
+    assert doc.result.family == "1"
+    assert rat_equal(doc.result.V, -z ** 2)
+    capsys.readouterr()
+    assert main(["spectrum", "--in", str(path), "--kmax", "1"]) == 0
+    capsys.readouterr()
+    pairs = PotentialDocument.load(path).eigenpairs
+    assert [p.E0 for p in pairs] == [1, 3, 5, 7]
+    assert [p.num for p in pairs] == [1, z, z ** 2 - Q(1, 2),
+                                      z ** 3 - 3 * z / 2]
+    assert all(p.carrier == -z ** 2 / 2 and p.den == 1 for p in pairs)
+
+
+def test_spectrum_negative_kmax(tmp_path, capsys):
+    path = tmp_path / "anh.json"
+    _gen_anharmonic(path)
+    assert main(["spectrum", "--in", str(path), "--kmax", "0"]) == 0
+    assert PotentialDocument.load(path).eigenpairs
+    before = path.read_text()
+    capsys.readouterr()
+    assert main(["spectrum", "--in", str(path), "--kmax", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert path.read_text() == before
+
+
 def test_verify_command(tmp_path, capsys):
     path = tmp_path / "fus.json"
     _gen_fusion(path)

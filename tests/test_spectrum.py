@@ -1,10 +1,24 @@
+import random
+
 import pytest
 import sympy as sp
 from sympy import Rational as Q
 
-from specpot.algebra import z
-from specpot.errors import DegreeCapExceeded, NoSolution, SymbolicNu
-from specpot.families import gen_family3_poly
+from specpot import spectrum
+from specpot.algebra import normalize, nu, z
+from specpot.errors import (
+    DegreeCapExceeded,
+    NoSolution,
+    SingularParameter,
+    SymbolicNu,
+)
+from specpot.families import (
+    gen_family1,
+    gen_family2,
+    gen_family3_poly,
+    result_at_nu,
+)
+from specpot.seeds import NodeSpec1, NodeSpec2
 from specpot.spectrum import (
     EigenPair,
     enumerate_candidates,
@@ -35,9 +49,6 @@ def test_candidates_fusion(fusion):
 
 
 def test_candidates_small_nu():
-    from specpot.families import gen_family1, result_at_nu
-    from specpot.algebra import nu
-    from specpot.seeds import NodeSpec1
     res = result_at_nu(gen_family1([NodeSpec1(0, 1, 1)], nu), Q(1, 4))
     cset = enumerate_candidates(res, 0)
     assert set(_energies(cset)) == {3, 1, -1, -3}
@@ -76,8 +87,16 @@ def test_anharmonic_first_excited(anharmonic):
 def test_anharmonic_accident_energy_gap(anharmonic):
     # the E = 3 candidate has an exact closed-form solution but it grows
     # toward both infinities; it must be reported as no eigenfunction
-    with pytest.raises(NoSolution):
+    with pytest.raises(NoSolution) as exc:
         liouvillian_eigenfunction(anharmonic, 3)
+    assert exc.value.reason == NoSolution.NOT_L2
+
+
+def test_no_closed_form_reason(anharmonic):
+    # deg N would be 7 at E = 13 on the decaying carrier, above the cap
+    with pytest.raises(NoSolution) as exc:
+        liouvillian_eigenfunction(anharmonic, 13, degree_cap=6)
+    assert exc.value.reason == NoSolution.NO_CLOSED_FORM
 
 
 def test_fusion_table_entry(fusion):
@@ -139,3 +158,77 @@ def test_spectrum_table_fusion_split(fusion):
 def test_eigenpair_psi_shape(anharmonic):
     pair = liouvillian_eigenfunction(anharmonic, -1)
     assert pair.psi == sp.exp(pair.carrier) * pair.num / pair.den
+
+
+def _sweep_numerator(V, E0, qp, den, degree_cap):
+    """Reference: sweep deg N upward, solving the Expr residual's
+    coefficient equations at each degree (the solver before the indicial
+    degree bound)."""
+    for deg in range(degree_cap + 1):
+        unknowns = sp.symbols("n0:%d" % (deg + 1))
+        N = sum(unknowns[i] * z ** i for i in range(deg + 1))
+        g = N / den
+        residual = (sp.diff(g, z, 2) + 2 * qp * sp.diff(g, z)
+                    + (sp.diff(qp, z) + qp ** 2 + V + E0) * g)
+        numerator = sp.expand(sp.numer(sp.together(residual)))
+        eqs = sp.Poly(numerator, z).coeffs()
+        sol = sp.linsolve(eqs, unknowns)
+        for s in sol:
+            N_val = sum(s[i] * z ** i for i in range(deg + 1))
+            free = N_val.free_symbols & set(unknowns)
+            if free:
+                N_val = N_val.subs({f: 1 for f in free})
+            N_val = sp.expand(N_val)
+            if N_val != 0:
+                return N_val
+    return None
+
+
+def _assert_same_numerators(res, kmax, degree_cap):
+    Vn, Vd = sp.fraction(normalize(res.V))
+    den = sp.sqf_part(Vd, z)
+    found = 0
+    for E0, _prov in enumerate_candidates(res, kmax).energies:
+        for q in spectrum._carrier_candidates(res, E0):
+            qp = sp.diff(q, z)
+            want = _sweep_numerator(res.V, E0, qp, den, degree_cap)
+            got = spectrum._solve_numerator(Vn, Vd, E0, qp, den, degree_cap)
+            assert got == want, (E0, q)
+            found += want is not None
+    return found
+
+
+def test_solver_matches_sweep_paper(anharmonic, fusion):
+    # E0 = -13 on the growing carrier needs deg N = 9, the cap itself
+    assert _assert_same_numerators(anharmonic, 2, 9) == 12
+    assert _assert_same_numerators(fusion, 2, 9) == 3
+
+
+def test_solver_matches_sweep_oscillator():
+    osc = result_at_nu(gen_family1([], nu), Q(1, 4))
+    assert _assert_same_numerators(osc, 1, 7) == 8
+
+
+def test_solver_matches_sweep_random():
+    """Random one-node family-1/2 potentials, drawn as in acceptance
+    criterion 5 but at the nu where closed forms exist (quarter-integers for
+    family 1, half-integers for family 2); the cap of 4 lies below some of
+    their eigenfunction degrees (up to 6)."""
+    rng = random.Random(20240824)
+    done = found = 0
+    while done < 4:
+        family1 = done % 2 == 0
+        nu0 = Q(rng.choice([-3, -1, 1, 3]), 4 if family1 else 2)
+        try:
+            if family1:
+                res = gen_family1([NodeSpec1(rng.randint(0, 1),
+                                             rng.choice([1, -1]),
+                                             rng.choice([1, -1]))], nu0)
+            else:
+                res = gen_family2([NodeSpec2(rng.randint(0, 1),
+                                             rng.choice([1, -1]))], nu0)
+        except SingularParameter:
+            continue
+        found += _assert_same_numerators(res, 1, 4)
+        done += 1
+    assert found > 0
