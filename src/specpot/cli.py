@@ -63,20 +63,21 @@ def _parse_nodes(text, family):
 def _parse_rational(text):
     try:
         return sp.Rational(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad rational %r" % text) from exc
 
 
 def _cmd_gen(args):
     if args.out is None:
         raise UsageError("gen requires --out")
+    nu_val = nu if args.nu is None else _parse_rational(args.nu)
     if args.family in ("1", "2"):
         nodes = _parse_nodes(args.nodes or "", args.family)
         generate = families.gen_family1 if args.family == "1" \
             else families.gen_family2
         result = generate(nodes, nu)
         if args.nu is not None:
-            result = families.result_at_nu(result, _parse_rational(args.nu))
+            result = families.result_at_nu(result, nu_val)
     elif args.family == "3log":
         if args.P1 is None or args.P2 is None:
             raise UsageError("family 3log requires --P1 and --P2")
@@ -91,7 +92,6 @@ def _cmd_gen(args):
     elif args.family == "singular":
         if args.case is None:
             raise UsageError("family singular requires --case")
-        nu_val = nu if args.nu is None else _parse_rational(args.nu)
         result = families.singular_potential(CASES["C" + args.case], nu_val)
     else:
         raise UsageError("unknown family %r" % args.family)
@@ -200,6 +200,9 @@ def _cmd_render(args):
             lo, hi = args.range.split(":")
         except ValueError as exc:
             raise UsageError("bad --range, expected LO:HI") from exc
+        if args.samples < 1:
+            raise UsageError("--samples must be positive")
+        lo, hi = _parse_rational(lo), _parse_rational(hi)
         sys.stdout.write(plot_data(doc, lo, hi, args.samples))
     return 0
 

@@ -43,8 +43,9 @@ class EigenPair:
         return sp.exp(self.carrier) * self.num / self.den
 
 
-def enumerate_candidates(result: PotentialResult, bound: int) -> CandidateSet:
-    """All Lemma-formula energies with k <= bound at the result's numeric nu."""
+def _lemma_energies(result: PotentialResult, bound: int):
+    """The Lemma-formula energies with k <= bound at the result's numeric
+    nu, sorted, each with its sorted provenance tuples."""
     if result.family not in ("1", "2"):
         raise SymbolicNu("candidate enumeration applies to families 1 and 2")
     nu0 = sp.sympify(result.nu)
@@ -65,15 +66,21 @@ def enumerate_candidates(result: PotentialResult, bound: int) -> CandidateSet:
                     continue
                 E0 = sp.Rational(-1 / m ** 2)
                 found.setdefault(E0, set()).add((k, e))
-    degenerate = []
-    if result.H is not None:
-        for E0 in found:
-            if sp.cancel(sp.together(result.H.subs(Esym, E0))) == 0:
-                degenerate.append(E0)
-    energies = tuple(sorted(
+    return tuple(sorted(
         ((E0, tuple(sorted(prov))) for E0, prov in found.items()),
         key=lambda it: it[0]))
-    return CandidateSet(energies=energies, degenerate=tuple(sorted(degenerate)))
+
+
+def enumerate_candidates(result: PotentialResult, bound: int) -> CandidateSet:
+    """All Lemma-formula energies with k <= bound at the result's numeric nu,
+    with the gauge-accident energies among them."""
+    energies = _lemma_energies(result, bound)
+    degenerate = []
+    if result.H is not None:
+        for E0, _prov in energies:
+            if sp.cancel(sp.together(result.H.subs(Esym, E0))) == 0:
+                degenerate.append(E0)
+    return CandidateSet(energies=energies, degenerate=tuple(degenerate))
 
 
 def _carrier_candidates(result: PotentialResult, E0):
@@ -105,7 +112,7 @@ def liouvillian_eigenfunction(result: PotentialResult, E0,
         if num is None:
             continue
         candidate = EigenPair(E0=E0, carrier=q, num=num, den=den)
-        flags = {iv: square_integrable(candidate, iv) for iv in INTERVALS}
+        flags = _l2_flags(candidate)
         if not any(flags.values()):
             reason = NoSolution.NOT_L2
             continue
@@ -184,24 +191,27 @@ def square_integrable(pair, interval: str) -> bool:
     """
     if interval not in INTERVALS:
         raise ValueError(interval)
+    return _l2_flags(pair)[interval]
+
+
+def _l2_flags(pair) -> Dict[str, bool]:
+    """:func:`square_integrable` on every interval, from one pass over the
+    closed form."""
     q, R = _closed_form(pair)
-    ends = {"R": (True, False), "R+": (True,), "R-": (False,)}[interval]
-    Rc = sp.cancel(sp.together(R))
-    num, den = sp.fraction(Rc)
-    for plus in ends:
+    num, den = sp.fraction(sp.cancel(sp.together(R)))
+    decays = {}
+    for plus in (True, False):
         decay = _decays_toward(q, plus)
-        if decay is False:
-            return False
-        if decay is None:
-            if sp.degree(den, z) - sp.degree(num, z) < 1:
-                return False
-    for root in sp.real_roots(sp.Poly(den, z)):
-        inside = {"R": True,
-                  "R+": bool(root >= 0),
-                  "R-": bool(root <= 0)}[interval]
-        if inside:
-            return False
-    return True
+        decays[plus] = decay is True or (
+            decay is None and sp.degree(den, z) - sp.degree(num, z) >= 1)
+    flags = {"R": decays[True] and decays[False],
+             "R+": decays[True], "R-": decays[False]}
+    if any(flags.values()):
+        for root in sp.real_roots(sp.Poly(den, z)):
+            flags["R"] = False
+            flags["R+"] = flags["R+"] and not bool(root >= 0)
+            flags["R-"] = flags["R-"] and not bool(root <= 0)
+    return flags
 
 
 def _closed_form(pair):
@@ -224,9 +234,8 @@ def spectrum_table(result: PotentialResult, kmax: int,
     """Eigenfunctions at all candidate energies, filtered by L2 interval."""
     if degree_cap is None:
         degree_cap = 2 * kmax + 8
-    candidates = enumerate_candidates(result, kmax)
     pairs = []
-    for E0, _prov in candidates.energies:
+    for E0, _prov in _lemma_energies(result, kmax):
         try:
             pair = liouvillian_eigenfunction(result, E0, degree_cap=degree_cap)
         except NoSolution:

@@ -257,6 +257,36 @@ def test_usage_errors(tmp_path):
     assert main(["render", "--in", str(path), "--format", "plotdata"]) == 2
 
 
+@pytest.fixture(scope="module")
+def anharmonic_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("anh") / "anh.json"
+    _gen_anharmonic(path)
+    return path
+
+
+_PLOT = ["render", "--in", "{doc}", "--format", "plotdata"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "1", "--nu", "1/0", "--nodes", "(1,+,+)",
+     "--out", "{out}"],
+    _PLOT + ["--range", "a:1"],
+    _PLOT + ["--range", "1/0:1"],
+    _PLOT + ["--range", "0:1", "--samples", "0"],
+    _PLOT + ["--range", "0:1", "--samples", "-3"],
+], ids=["nu-1/0", "range-a", "range-1/0", "samples-0", "samples-neg"])
+def test_malformed_numbers_usage_error(tmp_path, capsys, anharmonic_doc,
+                                       argv):
+    out = tmp_path / "x.json"
+    argv = [arg.format(doc=anharmonic_doc, out=out) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_mathematical_failure_exit_code(tmp_path):
     # nu = 1/2 makes the (0,-) node energy singular
     assert main(["gen", "--family", "2", "--nu", "1/2",
