@@ -70,6 +70,8 @@ def _parse_rational(text):
 def _cmd_gen(args):
     if args.out is None:
         raise UsageError("gen requires --out")
+    if args.nu is not None and args.family in ("3log", "3poly", "4"):
+        raise UsageError("family %s takes no --nu" % args.family)
     nu_val = nu if args.nu is None else _parse_rational(args.nu)
     if args.family in ("1", "2"):
         nodes = _parse_nodes(args.nodes or "", args.family)
@@ -119,8 +121,10 @@ def _cmd_verify(args):
         raise SpecpotError("stored w_roots disagree with H")
     for pair in doc.eigenpairs:
         spectrum_mod._assert_residual_zero(res.V, pair.E0, pair)
+        if pair.l2 != spectrum_mod._l2_flags(pair):
+            raise SpecpotError("stored L2 flags disagree with psi")
     print("ok: residual identically zero, structure condition holds, "
-          "stored V, H and w_roots match the gauge")
+          "stored V, H, w_roots and L2 flags match")
     return 0
 
 

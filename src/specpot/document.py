@@ -170,8 +170,7 @@ class PotentialDocument:
         )
         eigenpairs = []
         for entry in doc["eigenpairs"]:
-            q, R = _closed_form(parse_expr(entry["psi"]))
-            num, den = sp.fraction(sp.cancel(sp.together(R)))
+            q, num, den = _closed_form(parse_expr(entry["psi"]))
             eigenpairs.append(EigenPair(
                 E0=sp.Rational(parse_expr(entry["E0"])),
                 carrier=q, num=num, den=den,

@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from .algebra import E as Esym, normalize, z
 from .errors import DegreeCapExceeded, NonzeroResidual, NoSolution, SymbolicNu
 from .families import PotentialResult
+from .gauge import _field_for
 
 INTERVALS = ("R", "R+", "R-")
 
@@ -91,21 +92,22 @@ def _carrier_candidates(result: PotentialResult, E0):
 
 
 def liouvillian_eigenfunction(result: PotentialResult, E0,
-                              degree_cap: int = 16) -> EigenPair:
+                              degree_cap: int = 16, *,
+                              split=None) -> EigenPair:
     """Exact closed-form eigenfunction at a candidate energy.
 
     Ansatz psi = exp(q) N(z)/den(z) with q from the family's asymptotic
     data and den the squarefree pole polynomial of V; per carrier the
     behaviour at infinity fixes deg N and one nullspace gives N.  Solutions
     that decay toward no infinity (square-integrable on none of R, R+, R-)
-    are spurious and rejected; :class:`NoSolution` gives the reason.
+    are spurious and rejected; :class:`NoSolution` gives the reason.  A pair
+    returned is certified by :func:`_assert_residual_zero`.  Callers that
+    solve at many energies pass ``split=_split(result.V)``.
     """
     if degree_cap < 0:
         raise DegreeCapExceeded(str(degree_cap))
     E0 = sp.Rational(E0)
-    V = result.V
-    Vn, Vd = sp.fraction(normalize(V))
-    den = sp.sqf_part(Vd, z)  # the distinct irreducible factors of V's poles
+    Vn, Vd, den = split or _split(result.V)
     reason = NoSolution.NO_CLOSED_FORM
     for q in _carrier_candidates(result, E0):
         num = _solve_numerator(Vn, Vd, E0, sp.diff(q, z), den, degree_cap)
@@ -117,9 +119,14 @@ def liouvillian_eigenfunction(result: PotentialResult, E0,
             reason = NoSolution.NOT_L2
             continue
         verified = EigenPair(E0=E0, carrier=q, num=num, den=den, l2=flags)
-        _assert_residual_zero(V, E0, verified)
+        _assert_residual_zero(result.V, E0, verified)
         return verified
     raise NoSolution(E0, reason)
+
+
+def _split(V):
+    Vn, Vd = sp.fraction(normalize(V))
+    return Vn, Vd, sp.sqf_part(Vd, z)  # den: the distinct factors of Vd
 
 
 def _solve_numerator(Vn, Vd, E0, qp, den, degree_cap):
@@ -157,28 +164,31 @@ def _solve_numerator(Vn, Vd, E0, qp, den, degree_cap):
 
 
 def _assert_residual_zero(V, E0, pair: EigenPair):
-    q = pair.carrier
-    qp = sp.diff(q, z)
-    g = pair.num / pair.den
-    residual = sp.cancel(sp.together(
-        sp.diff(g, z, 2) + 2 * qp * sp.diff(g, z)
-        + (sp.diff(qp, z) + qp ** 2 + V + E0) * g))
-    if residual != 0:
-        raise NonzeroResidual("eigenfunction residual nonzero: %s" % residual)
+    """Certify psi = exp(q)*N/den at E0: with g = N/den, the residual
+    g'' + 2q'g' + (q'' + q'^2 + V + E0)*g, formed by the quotient rule in the
+    sparse field QQ(z, E, params) of :mod:`gauge`, must be zero.  Else, or if
+    q or g is outside the field, :class:`NonzeroResidual` with a witness."""
+    ring, gens = _field_for([V, pair.carrier, pair.num, pair.den])
+    try:
+        q, g, VpE = (ring.from_expr(e) for e in
+                     (pair.carrier, pair.num / pair.den, V + E0))
+    except ValueError as exc:
+        raise NonzeroResidual("psi not exp(q)*N/den: %s" % pair.psi) from exc
+    zf = gens["z"]
+    qp, gp = q.diff(zf), g.diff(zf)
+    residual = gp.diff(zf) + 2 * qp * gp + (qp.diff(zf) + qp ** 2 + VpE) * g
+    if residual != ring.zero:
+        raise NonzeroResidual("eigenfunction residual nonzero: %s"
+                              % normalize(residual.as_expr()))
 
 
 def _decays_toward(q, plus_infinity: bool):
     """Does exp(q) decay as z -> +oo (or -oo)?  q is a real polynomial."""
-    poly = sp.Poly(sp.expand(q), z)
-    for monom, coeff in sorted(zip(poly.monoms(), poly.coeffs()),
-                               reverse=True):
-        degree = monom[0]
-        if degree == 0 or coeff == 0:
-            continue
-        if not plus_infinity and degree % 2 == 1:
-            coeff = -coeff
-        return bool(sp.sympify(coeff).is_negative)
-    return None  # q constant: no exponential decay or growth
+    poly = sp.Poly(q, z)
+    if poly.degree() < 1:
+        return None  # q constant: no exponential decay or growth
+    odd_at_minus = not plus_infinity and poly.degree() % 2 == 1
+    return bool((-poly.LC() if odd_at_minus else poly.LC()).is_negative)
 
 
 def square_integrable(pair, interval: str) -> bool:
@@ -197,8 +207,7 @@ def square_integrable(pair, interval: str) -> bool:
 def _l2_flags(pair) -> Dict[str, bool]:
     """:func:`square_integrable` on every interval, from one pass over the
     closed form."""
-    q, R = _closed_form(pair)
-    num, den = sp.fraction(sp.cancel(sp.together(R)))
+    q, num, den = _closed_form(pair)
     decays = {}
     for plus in (True, False):
         decay = _decays_toward(q, plus)
@@ -215,17 +224,18 @@ def _l2_flags(pair) -> Dict[str, bool]:
 
 
 def _closed_form(pair):
+    """(q, num, den) of a pair or of a raw expression exp(q)*num/den, with
+    num/den in lowest terms."""
     if isinstance(pair, EigenPair):
-        return pair.carrier, pair.num / pair.den
-    # a raw expression exp(q) * R
-    expr = sp.sympify(pair)
-    carriers = [e for e in expr.atoms(sp.exp) if e.args[0].has(z)]
-    if not carriers:
-        return sp.Integer(0), expr
-    if len(carriers) > 1:
-        raise ValueError("more than one exponential carrier")
-    q = carriers[0].args[0]
-    return q, sp.cancel(sp.together(expr / carriers[0]))
+        q, R = pair.carrier, pair.num / pair.den
+    else:
+        q, R = sp.Integer(0), sp.sympify(pair)
+        carriers = [e for e in R.atoms(sp.exp) if e.args[0].has(z)]
+        if len(carriers) > 1:
+            raise ValueError("more than one exponential carrier")
+        if carriers:
+            q, R = carriers[0].args[0], R / carriers[0]
+    return (q,) + sp.fraction(sp.cancel(sp.together(R)))
 
 
 def spectrum_table(result: PotentialResult, kmax: int,
@@ -234,10 +244,12 @@ def spectrum_table(result: PotentialResult, kmax: int,
     """Eigenfunctions at all candidate energies, filtered by L2 interval."""
     if degree_cap is None:
         degree_cap = 2 * kmax + 8
+    split = _split(result.V)
     pairs = []
     for E0, _prov in _lemma_energies(result, kmax):
         try:
-            pair = liouvillian_eigenfunction(result, E0, degree_cap=degree_cap)
+            pair = liouvillian_eigenfunction(result, E0, degree_cap,
+                                             split=split)
         except NoSolution:
             continue
         if pair.l2.get(interval, False):

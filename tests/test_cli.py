@@ -143,9 +143,19 @@ def _tamper_psi(payload):
     payload["eigenpairs"][0]["psi"] = "z*exp(-z^2/2)/(2*z^2 + 1)"
 
 
+def _tamper_l2(payload):
+    payload["eigenpairs"][0]["l2"] = {"R": False, "R+": False, "R-": False}
+
+
+def _psi_outside_field(payload):
+    payload["eigenpairs"][0]["psi"] = "exp(-z^(1/2))/(2*z^2 + 1)"
+
+
 @pytest.mark.parametrize("tamper", [_tamper_V, _tamper_H, _tamper_w_roots,
-                                    _tamper_psi],
-                         ids=["V", "H", "w_roots", "psi"])
+                                    _tamper_psi, _tamper_l2,
+                                    _psi_outside_field],
+                         ids=["V", "H", "w_roots", "psi", "l2",
+                              "psi-outside-field"])
 def test_verify_rejects_tampered_field(tmp_path, capsys, tamper):
     path = tmp_path / "anh.json"
     payload = _anharmonic_with_ground_state(path)
@@ -274,7 +284,14 @@ _PLOT = ["render", "--in", "{doc}", "--format", "plotdata"]
     _PLOT + ["--range", "1/0:1"],
     _PLOT + ["--range", "0:1", "--samples", "0"],
     _PLOT + ["--range", "0:1", "--samples", "-3"],
-], ids=["nu-1/0", "range-a", "range-1/0", "samples-0", "samples-neg"])
+    # families whose nu is fixed take no --nu
+    ["gen", "--family", "3log", "--nu", "1/3", "--P1", "1", "--P2", "0",
+     "--out", "{out}"],
+    ["gen", "--family", "3poly", "--nu", "1/3", "--F", "z^2+1",
+     "--out", "{out}"],
+    ["gen", "--family", "4", "--nu", "1/3", "--out", "{out}"],
+], ids=["nu-1/0", "range-a", "range-1/0", "samples-0", "samples-neg",
+        "nu-3log", "nu-3poly", "nu-4"])
 def test_malformed_numbers_usage_error(tmp_path, capsys, anharmonic_doc,
                                        argv):
     out = tmp_path / "x.json"

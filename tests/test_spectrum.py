@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 import sympy as sp
@@ -8,6 +9,7 @@ from specpot import spectrum
 from specpot.algebra import normalize, nu, z
 from specpot.errors import (
     DegreeCapExceeded,
+    NonzeroResidual,
     NoSolution,
     SingularParameter,
     SymbolicNu,
@@ -232,3 +234,87 @@ def test_solver_matches_sweep_random():
         found += _assert_same_numerators(res, 1, 4)
         done += 1
     assert found > 0
+
+
+def _ref_assert_residual_zero(V, E0, pair):
+    """Reference: the Expr certificate (cancel of psi's whole residual over
+    exp(q)) that the field certificate replaced."""
+    q = pair.carrier
+    qp = sp.diff(q, z)
+    g = pair.num / pair.den
+    residual = sp.cancel(sp.together(
+        sp.diff(g, z, 2) + 2 * qp * sp.diff(g, z)
+        + (sp.diff(qp, z) + qp ** 2 + V + E0) * g))
+    if residual != 0:
+        raise NonzeroResidual("eigenfunction residual nonzero: %s" % residual)
+
+
+def _verdict(certificate, V, E0, pair):
+    try:
+        certificate(V, E0, pair)
+    except NonzeroResidual:
+        return "nonzero"
+    return "zero"
+
+
+def _mutations(pair):
+    """The closed form and four variants, each with the verdict it must
+    get: N*(z+1), E0 + 1, the carrier's sign flipped, den replaced by 1 (a
+    solution again only where den is 1)."""
+    yield "zero", pair.E0, pair
+    yield "nonzero", pair.E0, replace(pair, num=sp.expand(pair.num * (z + 1)))
+    yield "nonzero", pair.E0 + 1, pair
+    yield "nonzero", pair.E0, replace(pair, carrier=-pair.carrier)
+    yield ("zero" if pair.den == 1 else "nonzero"), pair.E0, \
+        replace(pair, den=sp.Integer(1))
+
+
+#: the spectrum panel of bench/workloads.py without its fused potential
+#: (the ``fusion`` fixture): family, nu, nodes, kmax
+_PANEL = [
+    ("1", Q(-1, 4), [(0, -1, -1)], 0),
+    ("1", Q(1, 4), [(0, 1, -1)], 0),
+    ("1", Q(3, 4), [(0, -1, 1)], 0),
+    ("1", Q(-1, 4), [(1, -1, -1)], 0),
+    ("2", Q(1, 2), [(1, 1)], 1),
+    ("1", Q(-3, 4), [(0, 1, 1)], 0),
+    ("1", Q(3, 4), [(0, 1, -1)], 0),
+]
+
+
+def test_certificate_matches_expr_reference(anharmonic, fusion):
+    """Same verdict, zero or NonzeroResidual, from the field certificate and
+    the Expr reference on every closed form of the spectrum panel at
+    kmax + 1 and of the oscillator, on four mutations of each, and on
+    closed forms outside the field."""
+    results = [(anharmonic, 0), (fusion, 1),
+               (result_at_nu(gen_family1([], nu), Q(1, 4)), 1)]
+    for family, nu0, nodes, kmax in _PANEL:
+        if family == "1":
+            res = gen_family1([NodeSpec1(*nd) for nd in nodes], nu0)
+        else:
+            res = gen_family2([NodeSpec2(*nd) for nd in nodes], nu0)
+        results.append((res, kmax))
+    closed_forms = 0
+    for res, kmax in results:
+        for E0, _prov in enumerate_candidates(res, kmax + 1).energies:
+            try:
+                pair = liouvillian_eigenfunction(res, E0, 2 * kmax + 10)
+            except NoSolution:
+                continue
+            closed_forms += 1
+            for expected, E1, variant in _mutations(pair):
+                want = _verdict(_ref_assert_residual_zero, res.V, E1, variant)
+                got = _verdict(spectrum._assert_residual_zero, res.V, E1,
+                               variant)
+                assert got == want == expected, (res.V, E1, variant.psi)
+    assert closed_forms > 25
+    V = anharmonic.V
+    for carrier, num in ((-sp.sqrt(z), sp.Integer(1)),
+                         (-z ** 2 / 2, sp.sqrt(z)),
+                         (-sp.sqrt(2) * z ** 2 / 2, sp.Integer(1))):
+        pair = EigenPair(E0=Q(-1), carrier=carrier, num=num,
+                         den=2 * z ** 2 + 1)
+        assert _verdict(_ref_assert_residual_zero, V, pair.E0, pair) \
+            == _verdict(spectrum._assert_residual_zero, V, pair.E0, pair) \
+            == "nonzero"
