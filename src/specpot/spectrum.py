@@ -92,8 +92,7 @@ def _carrier_candidates(result: PotentialResult, E0):
 
 
 def liouvillian_eigenfunction(result: PotentialResult, E0,
-                              degree_cap: int = 16, *,
-                              split=None) -> EigenPair:
+                              degree_cap: int = 16) -> EigenPair:
     """Exact closed-form eigenfunction at a candidate energy.
 
     Ansatz psi = exp(q) N(z)/den(z) with q from the family's asymptotic
@@ -101,13 +100,13 @@ def liouvillian_eigenfunction(result: PotentialResult, E0,
     behaviour at infinity fixes deg N and one nullspace gives N.  Solutions
     that decay toward no infinity (square-integrable on none of R, R+, R-)
     are spurious and rejected; :class:`NoSolution` gives the reason.  A pair
-    returned is certified by :func:`_assert_residual_zero`.  Callers that
-    solve at many energies pass ``split=_split(result.V)``.
+    returned is certified by :func:`_assert_residual_zero`.
     """
     if degree_cap < 0:
         raise DegreeCapExceeded(str(degree_cap))
     E0 = sp.Rational(E0)
-    Vn, Vd, den = split or _split(result.V)
+    V = result.V
+    Vn, Vd, den = _split(V)
     reason = NoSolution.NO_CLOSED_FORM
     for q in _carrier_candidates(result, E0):
         num = _solve_numerator(Vn, Vd, E0, sp.diff(q, z), den, degree_cap)
@@ -119,11 +118,12 @@ def liouvillian_eigenfunction(result: PotentialResult, E0,
             reason = NoSolution.NOT_L2
             continue
         verified = EigenPair(E0=E0, carrier=q, num=num, den=den, l2=flags)
-        _assert_residual_zero(result.V, E0, verified)
+        _assert_residual_zero(V, E0, verified)
         return verified
     raise NoSolution(E0, reason)
 
 
+@sp.cacheit  # one split per V, cleared with sympy's cache, not per energy
 def _split(V):
     Vn, Vd = sp.fraction(normalize(V))
     return Vn, Vd, sp.sqf_part(Vd, z)  # den: the distinct factors of Vd
@@ -164,10 +164,8 @@ def _solve_numerator(Vn, Vd, E0, qp, den, degree_cap):
 
 
 def _assert_residual_zero(V, E0, pair: EigenPair):
-    """Certify psi = exp(q)*N/den at E0: with g = N/den, the residual
-    g'' + 2q'g' + (q'' + q'^2 + V + E0)*g, formed by the quotient rule in the
-    sparse field QQ(z, E, params) of :mod:`gauge`, must be zero.  Else, or if
-    q or g is outside the field, :class:`NonzeroResidual` with a witness."""
+    """Certify psi = exp(q)*g, g = N/den: g'' + 2q'g' + (q'' + q'^2 + V + E0)*g
+    must be zero in gauge's field QQ(z, E, params), else NonzeroResidual."""
     ring, gens = _field_for([V, pair.carrier, pair.num, pair.den])
     try:
         q, g, VpE = (ring.from_expr(e) for e in
@@ -184,11 +182,16 @@ def _assert_residual_zero(V, E0, pair: EigenPair):
 
 def _decays_toward(q, plus_infinity: bool):
     """Does exp(q) decay as z -> +oo (or -oo)?  q is a real polynomial."""
-    poly = sp.Poly(q, z)
-    if poly.degree() < 1:
-        return None  # q constant: no exponential decay or growth
-    odd_at_minus = not plus_infinity and poly.degree() % 2 == 1
-    return bool((-poly.LC() if odd_at_minus else poly.LC()).is_negative)
+    poly = sp.Poly(sp.expand(q), z)
+    for monom, coeff in sorted(zip(poly.monoms(), poly.coeffs()),
+                               reverse=True):
+        degree = monom[0]
+        if degree == 0 or coeff == 0:
+            continue
+        if not plus_infinity and degree % 2 == 1:
+            coeff = -coeff
+        return bool(sp.sympify(coeff).is_negative)
+    return None  # q constant: no exponential decay or growth
 
 
 def square_integrable(pair, interval: str) -> bool:
@@ -224,8 +227,7 @@ def _l2_flags(pair) -> Dict[str, bool]:
 
 
 def _closed_form(pair):
-    """(q, num, den) of a pair or of a raw expression exp(q)*num/den, with
-    num/den in lowest terms."""
+    """(q, num, den) of a pair or a raw exp(q)*num/den, in lowest terms."""
     if isinstance(pair, EigenPair):
         q, R = pair.carrier, pair.num / pair.den
     else:
@@ -244,12 +246,10 @@ def spectrum_table(result: PotentialResult, kmax: int,
     """Eigenfunctions at all candidate energies, filtered by L2 interval."""
     if degree_cap is None:
         degree_cap = 2 * kmax + 8
-    split = _split(result.V)
     pairs = []
     for E0, _prov in _lemma_energies(result, kmax):
         try:
-            pair = liouvillian_eigenfunction(result, E0, degree_cap,
-                                             split=split)
+            pair = liouvillian_eigenfunction(result, E0, degree_cap=degree_cap)
         except NoSolution:
             continue
         if pair.l2.get(interval, False):
